@@ -5,9 +5,13 @@
 //! mesh campaign runs under one seeded fault of every link class per
 //! machine, reporting:
 //!
-//! * **packets/sec** — per-hop packet relays executed per wall-clock
-//!   second (the runner executes every plan twice for its determinism
-//!   probe; both executions count);
+//! * **packets/sec** — per-hop packet relays of one execution divided by
+//!   the wall time of one `MeshSim::run_to_horizon` of the plan (median
+//!   of a few fresh builds; build, trace render, the invariant check and
+//!   the runner's determinism re-run are not timed);
+//! * **node-ticks, steps, skipped fraction** — the simulated span
+//!   (nodes × horizon), the ticks next-event advance actually executed,
+//!   and the share of the horizon it jumped over as idle;
 //! * **hop latency** — one-way command latency in ticks divided by hop
 //!   count, measured on a fault-free plan of the same shape (first
 //!   telecommand origination to its acceptance at the executor);
@@ -35,8 +39,8 @@
 use std::time::Instant;
 
 use air_core::mesh::{
-    command_endpoints, mesh_plan, reroute_plan, MeshCampaignRunner, PartitionScenario,
-    RerouteCampaignRunner, CMD_START,
+    command_endpoints, mesh_plan, reroute_plan, MeshCampaignRunner, MeshPlan, MeshSim,
+    PartitionScenario, RerouteCampaignRunner, CMD_START,
 };
 use air_fleet::workloads::MeshFleet;
 use air_fleet::{run_fleet, run_sequential, Capture, FleetConfig};
@@ -49,6 +53,23 @@ const TOPOLOGIES: [MeshTopology; 3] =
     [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 const SMOKE_MACHINES: usize = 24;
 const SMOKE_WORKERS_DEFAULT: usize = 4;
+/// Fresh builds per timed `run_to_horizon`; the median is reported.
+const RUN_REPS: usize = 5;
+
+/// The median wall time of `RUN_REPS` runs of `plan` to its horizon,
+/// each on a fresh sim built outside the timed span, with its sim.
+fn timed_run(plan: &MeshPlan) -> (f64, MeshSim) {
+    let mut runs: Vec<(f64, MeshSim)> = (0..RUN_REPS)
+        .map(|_| {
+            let mut sim = MeshSim::new(plan);
+            let started = Instant::now();
+            sim.run_to_horizon();
+            (started.elapsed().as_secs_f64(), sim)
+        })
+        .collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    runs.swap_remove(RUN_REPS / 2)
+}
 
 /// One-way first-command latency in ticks on a fault-free plan: the
 /// executor's first `CommandAccepted` trace tick minus the origination
@@ -247,13 +268,16 @@ fn main() {
     for topology in TOPOLOGIES {
         for nodes in SIZES {
             let plan = mesh_plan(topology, nodes, BASE_SEED, 1);
-            let started = Instant::now();
+            let (run_seconds, sim) = timed_run(&plan);
             let outcome = MeshCampaignRunner::new(plan).run();
-            let elapsed = started.elapsed().as_secs_f64();
             all_ok &= outcome.is_ok();
-            // The runner executes the plan twice (determinism probe).
-            let packets = 2 * outcome.forwarded;
-            let packets_per_sec = if elapsed > 0.0 { packets as f64 / elapsed } else { 0.0 };
+            let packets_per_sec = if run_seconds > 0.0 {
+                outcome.forwarded as f64 / run_seconds
+            } else {
+                0.0
+            };
+            let node_ticks = nodes as u64 * sim.horizon();
+            let skipped_frac = 1.0 - sim.steps() as f64 / sim.horizon() as f64;
             let delivery = first_delivery_ticks(topology, nodes).unwrap_or(0);
             let hop_latency = if outcome.command_hops > 0 {
                 delivery as f64 / outcome.command_hops as f64
@@ -285,11 +309,14 @@ fn main() {
             let reroute = reroute.expect("seed scan always yields an outcome");
             all_ok &= reroute.is_ok();
             println!(
-                "{:>4}[{nodes}]: {:>9.0} packets/sec  {} hops, first delivery {delivery} ticks \
-                 ({hop_latency:.1}/hop)  {} cmds, {} retransmits, invariants {}  | reroute: \
-                 {} outages, {} requeues, {}",
+                "{:>4}[{nodes}]: {:>9.0} packets/sec  {} of {} ticks stepped ({:.1}% skipped)  \
+                 {} hops, first delivery {delivery} ticks ({hop_latency:.1}/hop)  {} cmds, \
+                 {} retransmits, invariants {}  | reroute: {} outages, {} requeues, {}",
                 topology.label(),
                 packets_per_sec,
+                sim.steps(),
+                sim.horizon(),
+                100.0 * skipped_frac,
                 outcome.command_hops,
                 outcome.expected,
                 outcome.retransmissions,
@@ -304,6 +331,8 @@ fn main() {
             rows.push_str(&format!(
                 "    {{\"topology\": \"{}\", \"nodes\": {nodes}, \
                  \"packets_per_sec\": {packets_per_sec:.0}, \
+                 \"node_ticks\": {node_ticks}, \"steps\": {}, \
+                 \"skipped_frac\": {skipped_frac:.4}, \
                  \"command_hops\": {}, \"first_delivery_ticks\": {delivery}, \
                  \"hop_latency_ticks\": {hop_latency:.2}, \
                  \"commands\": {}, \"retransmissions\": {}, \
@@ -311,6 +340,7 @@ fn main() {
                  \"reroute_edge_downs\": {}, \"reroute_requeues\": {}, \
                  \"reroute_invariants_hold\": {}}}",
                 topology.label(),
+                sim.steps(),
                 outcome.command_hops,
                 outcome.expected,
                 outcome.retransmissions,

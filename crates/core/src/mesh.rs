@@ -675,7 +675,8 @@ impl MeshNode {
 }
 
 /// One incrementally-steppable mesh campaign: N nodes in lockstep over a
-/// faulted fabric, advanced one tick at a time. [`MeshCampaignRunner`]
+/// faulted fabric, advanced one tick at a time by [`MeshSim::step`] or
+/// from event to event by [`MeshSim::run_for`]. [`MeshCampaignRunner`]
 /// drives two back to back (the second is the determinism probe); the
 /// fleet executor interleaves many across worker threads.
 pub struct MeshSim {
@@ -697,6 +698,8 @@ pub struct MeshSim {
     expected: u64,
     now: u64,
     end: u64,
+    /// Ticks actually executed by [`MeshSim::step`].
+    steps: u64,
 }
 
 /// Mutable state of the self-healing layer.
@@ -801,6 +804,7 @@ impl MeshSim {
             expected: planned_budget(plan),
             now: 0,
             end: planned_mesh_horizon(plan),
+            steps: 0,
             plan: plan.clone(),
         }
     }
@@ -818,6 +822,13 @@ impl MeshSim {
     /// The tick the sim stops at (traffic window plus drain).
     pub fn horizon(&self) -> u64 {
         self.end
+    }
+
+    /// Ticks actually executed so far. [`MeshSim::run_for`] and
+    /// [`MeshSim::run_to_horizon`] skip idle ticks, so `now() - steps()`
+    /// is the number of ticks next-event advance jumped over.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Whether the sim has reached its horizon.
@@ -857,10 +868,15 @@ impl MeshSim {
     /// its verifier, and transmits; edge health transitions reroute at
     /// the boundary and the failover quorum is re-evaluated last.
     /// No-op past the horizon.
+    ///
+    /// This is the only per-tick code path and the reference the
+    /// next-event runs are checked against: stepping every tick and
+    /// running with [`MeshSim::run_for`] render byte-identical traces.
     pub fn step(&mut self) {
         if self.is_done() {
             return;
         }
+        self.steps += 1;
         let now = self.now;
         self.realise_due_faults(now);
         self.realise_partition_faults(now);
@@ -879,21 +895,80 @@ impl MeshSim {
         self.now += 1;
     }
 
-    /// Advances up to `n` ticks, stopping at the horizon.
+    /// Advances `n` ticks, stopping at the horizon: afterwards
+    /// `now() == min(now + n, horizon)`. Idle ticks are jumped over
+    /// (next-event time advance, DESIGN.md §14.1).
     pub fn run_for(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.is_done() {
-                break;
+        self.advance_to(self.now.saturating_add(n).min(self.end));
+    }
+
+    /// Runs to the horizon, jumping over idle ticks.
+    pub fn run_to_horizon(&mut self) {
+        self.advance_to(self.end);
+    }
+
+    /// Next-event time advance to `stop`: executes [`MeshSim::step`] only
+    /// at ticks where some component can act and moves `now` straight
+    /// over the idle spans between them. A skipped tick is one where
+    /// `step` would have changed nothing, so the result is the same as
+    /// stepping every tick — the catch-up semantics of PAL's surrogate
+    /// clock-tick announcement, where a skipped span looks like a
+    /// descheduled one (DESIGN.md §14.1).
+    fn advance_to(&mut self, stop: u64) {
+        while self.now < stop {
+            let next = self.next_event_at();
+            if next >= stop {
+                self.now = stop;
+                return;
             }
+            self.now = next;
             self.step();
         }
     }
 
-    /// Runs to the horizon.
-    pub fn run_to_horizon(&mut self) {
-        while !self.is_done() {
-            self.step();
+    /// The earliest tick at or after `now` at which any component can
+    /// act, capped at the horizon. A conservative lower bound: early is
+    /// only slower (stepping an idle tick is a no-op), late would be a
+    /// bug — `step()` run tick by tick is the oracle that catches it.
+    ///
+    /// It combines every layer's own bound:
+    ///
+    /// * an already-due drop, tamper or ack-loss fault stays armed until
+    ///   it finds a frame in flight on its edge, so while one is armed
+    ///   and any frame is in flight the answer is `now`;
+    /// * the next command origination tick while the budget is open;
+    /// * the earliest pending edge fault and partition fault still to
+    ///   come (one due before `now` was struck, or armed, at its tick);
+    /// * the fabric (frame landings, probes on dead edges);
+    /// * every node's ARQ endpoints and command verifier.
+    ///
+    /// The failover quorum needs no bound: edge health only changes
+    /// inside a stepped tick, which re-evaluates the quorum last.
+    fn next_event_at(&self) -> u64 {
+        let now = self.now;
+        let armed = self.pending.iter().any(|event| event.at <= now);
+        if armed && self.fabric.in_flight() {
+            return now;
         }
+        let command = (self.sent < self.expected).then(|| {
+            let periods = now.saturating_sub(CMD_START).div_ceil(CMD_PERIOD);
+            CMD_START + periods * CMD_PERIOD
+        });
+        let faults = self.pending.iter().map(|event| event.at);
+        let partitions = self.pending_partitions.iter().map(|fault| fault.at);
+        let nodes = self.nodes.iter().flat_map(|node| {
+            let arqs = node
+                .arqs
+                .iter()
+                .filter_map(|(_, arq)| arq.next_event_at(now));
+            arqs.chain(node.verifier.next_event_at(now))
+        });
+        command
+            .into_iter()
+            .chain(faults.chain(partitions).filter(|&at| at >= now))
+            .chain(self.fabric.next_event_at(now))
+            .chain(nodes)
+            .fold(self.end, u64::min)
     }
 
     /// Appends every node's canonical trace log (headed `== node 0 ==`,
@@ -1403,6 +1478,7 @@ impl MeshSim {
             parked: self.nodes.iter().map(|n| n.parked.len() as u64).sum(),
             duplicates_filtered: self.nodes.iter().map(|n| n.duplicates_filtered).sum(),
             active_executor: self.active_executor,
+            steps: self.steps,
         }
     }
 
@@ -1485,7 +1561,7 @@ impl MeshSim {
 }
 
 /// Snapshot of the self-healing layer ([`MeshSim::status`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeshStatus {
     /// One entry per fabric edge, in sorted edge order.
     pub edges: Vec<EdgeStatus>,
@@ -1503,10 +1579,13 @@ pub struct MeshStatus {
     pub duplicates_filtered: u64,
     /// Where the commander currently addresses telecommands.
     pub active_executor: usize,
+    /// Ticks actually executed ([`MeshSim::steps`]); the rest of
+    /// `now()` was jumped over as idle.
+    pub steps: u64,
 }
 
 /// Health of one fabric edge inside a [`MeshStatus`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeStatus {
     /// The edge's `(low, high)` node pair.
     pub endpoints: (usize, usize),

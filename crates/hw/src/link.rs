@@ -158,6 +158,25 @@ impl InterNodeLink {
         queue.front().is_some_and(|f| f.deliver_at <= now)
     }
 
+    /// The earliest tick at or after `now` at which [`InterNodeLink::receive`]
+    /// can hand over a frame at either endpoint: the `deliver_at` of the
+    /// front frame in each direction (`None`: nothing in flight). A
+    /// conservative lower bound for next-event time advance — before it,
+    /// `receive` returns `None` at both ends and changes nothing.
+    pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        [self.a_to_b.front(), self.b_to_a.front()]
+            .into_iter()
+            .flatten()
+            .map(|frame| frame.deliver_at.max(now))
+            .min()
+    }
+
+    /// Whether any frame is in flight, in either direction — the frames
+    /// an armed in-flight fault can strike.
+    pub fn in_flight(&self) -> bool {
+        !self.a_to_b.is_empty() || !self.b_to_a.is_empty()
+    }
+
     /// Destroys the newest frame still in flight towards `to`, as if it
     /// was lost in transit. Returns whether a frame was there to lose.
     /// Fault injection: the sender's counters already include the frame,
@@ -366,6 +385,28 @@ mod tests {
         assert!(!link.drop_in_flight_where(LinkEndpoint::A, |b| b[0] == 1));
         assert_eq!(link.receive(LinkEndpoint::A, 0), Some(vec![2, 2]));
         assert_eq!(link.dropped(), 2);
+    }
+
+    #[test]
+    fn next_event_at_is_the_first_tick_receive_acts() {
+        let mut link = InterNodeLink::new(3);
+        assert_eq!(link.next_event_at(0), None);
+        assert!(!link.in_flight());
+        link.send(LinkEndpoint::A, 4, vec![1]);
+        link.send(LinkEndpoint::B, 5, vec![2]);
+        assert!(link.in_flight());
+        let bound = link.next_event_at(4).expect("frames in flight");
+        assert_eq!(bound, 7, "front of A→B lands first");
+        for now in 4..bound {
+            let mut probe = link.clone();
+            assert_eq!(probe.receive(LinkEndpoint::A, now), None, "tick {now}");
+            assert_eq!(probe.receive(LinkEndpoint::B, now), None, "tick {now}");
+            assert_eq!(format!("{probe:?}"), format!("{link:?}"), "tick {now}");
+        }
+        assert_eq!(link.receive(LinkEndpoint::B, bound), Some(vec![1]));
+        assert_eq!(link.next_event_at(bound), Some(8));
+        // A bound never lies in the past.
+        assert_eq!(link.next_event_at(20), Some(20));
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl std::fmt::Display for MeshTopologyError {
 }
 
 /// The links and adjacency of an N-node mesh.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MeshFabric {
     nodes: usize,
     /// Normalised `(low, high)` node pairs, sorted; `links[i]` carries
@@ -264,6 +264,28 @@ impl MeshFabric {
         self.monitors
             .get_mut(index)
             .is_some_and(|m| m.probe_due(&cfg, now))
+    }
+
+    /// The earliest tick at or after `now` at which the fabric can act on
+    /// its own: the first in-flight frame landing on any link
+    /// ([`InterNodeLink::next_event_at`]) or the next probe falling due
+    /// on a dead monitored edge ([`MeshFabric::edge_probe_due`]); `None`
+    /// when neither can ever happen without a new send. A conservative
+    /// lower bound for next-event time advance.
+    pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        let interval = self.monitor_config.probe_interval;
+        let deliveries = self.links.iter().filter_map(|link| link.next_event_at(now));
+        let probes = self
+            .monitors
+            .iter()
+            .filter(|monitor| !monitor.live)
+            .map(|monitor| monitor.last_probe_at.saturating_add(interval).max(now));
+        deliveries.chain(probes).min()
+    }
+
+    /// Whether any frame is in flight on any link.
+    pub fn in_flight(&self) -> bool {
+        self.links.iter().any(InterNodeLink::in_flight)
     }
 
     /// Whether edge `index` is currently believed live. Unmonitored
@@ -472,6 +494,38 @@ mod tests {
         let health = fabric.edge_health(0).expect("monitored");
         assert_eq!((health.downs, health.ups), (1, 1));
         assert_eq!(health.consecutive_losses, 0);
+    }
+
+    #[test]
+    fn next_event_at_bounds_deliveries_and_probes() {
+        let mut fabric = MeshFabric::new(3, &[(0, 1), (1, 2)], 2).expect("valid");
+        fabric.install_monitors(EdgeMonitorConfig {
+            down_threshold: 1,
+            probe_interval: 10,
+            recovery_threshold: 1,
+        });
+        assert_eq!(fabric.next_event_at(0), None, "idle fabric");
+        assert_eq!(fabric.record_edge_loss(1, 3), Some(EdgeHealthEvent::Down));
+        assert!(fabric.send(0, 1, 5, b"hop".to_vec()));
+        // The frame lands at 7, the dead edge's probe falls due at 13.
+        assert_eq!(fabric.next_event_at(5), Some(7));
+        let idle = |fabric: &MeshFabric, from: u64, to: u64| {
+            for now in from..to {
+                let mut probe = fabric.clone();
+                for (node, peer) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+                    assert_eq!(probe.receive_from(node, peer, now), None, "tick {now}");
+                }
+                assert!(!probe.edge_probe_due(1, now), "tick {now}");
+                assert_eq!(format!("{probe:?}"), format!("{fabric:?}"), "tick {now}");
+            }
+        };
+        idle(&fabric, 5, 7);
+        assert_eq!(fabric.receive_from(1, 0, 7), Some(b"hop".to_vec()));
+        assert_eq!(fabric.next_event_at(8), Some(13));
+        idle(&fabric, 8, 13);
+        assert!(fabric.edge_probe_due(1, 13));
+        assert_eq!(fabric.next_event_at(13), Some(23), "next probe re-armed");
+        assert!(!fabric.in_flight());
     }
 
     #[test]

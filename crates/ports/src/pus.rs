@@ -103,7 +103,7 @@ struct RunningCommand {
 /// transition `exec_ticks` later. Commands are keyed `(apid, seq)`; a
 /// duplicate key while the original is still executing is rejected
 /// (the transport below already deduplicates, so this is a backstop).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CommandVerifier {
     exec_ticks: u64,
     running: BTreeMap<(u16, u16), RunningCommand>,
@@ -176,6 +176,25 @@ impl CommandVerifier {
             });
         }
         out
+    }
+
+    /// The earliest tick at or after `now` at which [`CommandVerifier::tick`]
+    /// yields a transition: the minimum over running commands of their
+    /// `start_at` (not yet started) or `complete_at` (started); `None`
+    /// when nothing runs. A conservative lower bound for next-event time
+    /// advance — before it, `tick` yields nothing and changes nothing.
+    pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        self.running
+            .values()
+            .map(|cmd| {
+                if cmd.started {
+                    cmd.complete_at
+                } else {
+                    cmd.start_at
+                }
+                .max(now)
+            })
+            .min()
     }
 
     /// Commands currently between acceptance and completion.
@@ -321,6 +340,35 @@ mod tests {
         assert_eq!(v.in_flight(), 0);
         assert_eq!(v.accepted(), 1);
         assert_eq!(v.completed(), 1);
+    }
+
+    #[test]
+    fn next_event_at_is_the_first_tick_with_a_transition() {
+        let mut v = CommandVerifier::new(3);
+        assert_eq!(v.next_event_at(0), None, "nothing running");
+        v.accept(100, 0, 10);
+        v.accept(100, 1, 12);
+        let idle = |v: &CommandVerifier, from: u64, to: u64| {
+            for now in from..to {
+                let mut probe = v.clone();
+                assert!(probe.tick(now).is_empty(), "tick {now}");
+                assert_eq!(format!("{probe:?}"), format!("{v:?}"), "tick {now}");
+            }
+        };
+        // Not started yet: the bound is the earliest start.
+        assert_eq!(v.next_event_at(10), Some(11));
+        idle(&v, 10, 11);
+        assert_eq!(v.tick(11).len(), 1);
+        // Started: the bound moves to the next start (13), then completion.
+        assert_eq!(v.next_event_at(12), Some(13));
+        idle(&v, 12, 13);
+        assert_eq!(v.tick(13).len(), 1);
+        assert_eq!(v.next_event_at(14), Some(14), "seq 0 completes at 14");
+        assert_eq!(v.tick(14)[0].stage, AckStage::Completion);
+        assert_eq!(v.next_event_at(15), Some(16));
+        idle(&v, 15, 16);
+        assert_eq!(v.tick(16).len(), 1);
+        assert_eq!(v.next_event_at(17), None);
     }
 
     #[test]

@@ -211,9 +211,7 @@ impl ArqEndpoint {
         // Timeout round first, so retransmissions precede newly admitted
         // frames in sequence order on the wire.
         if let Some(head) = self.unacked.front() {
-            let backoff = self.config.timeout_ticks
-                << head.retries.min(self.config.backoff_cap);
-            if now.saturating_sub(head.last_sent) >= backoff {
+            if now.saturating_sub(head.last_sent) >= self.backoff(head.retries) {
                 batch.timeout_round = true;
                 let head_seq = head.seq;
                 let mut head_retries = 0;
@@ -254,6 +252,32 @@ impl ArqEndpoint {
         }
 
         batch
+    }
+
+    /// The head-of-window timeout after `retries` rounds.
+    fn backoff(&self, retries: u32) -> u64 {
+        self.config.timeout_ticks << retries.min(self.config.backoff_cap)
+    }
+
+    /// The earliest tick at or after `now` at which the endpoint can act
+    /// on its own: `now` while an acknowledgement is pending or backlog
+    /// can enter the window, otherwise the head frame's retransmission
+    /// deadline (`last_sent + (timeout << min(retries, cap))`); `None`
+    /// when only new input (an offer, an ACK, a data frame) can wake it.
+    /// A conservative lower bound for next-event time advance: before
+    /// it, [`ArqEndpoint::poll_transmit`] and [`ArqEndpoint::take_ack`]
+    /// produce nothing and change nothing.
+    pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        let admits = !self.backlog.is_empty() && self.unacked.len() < self.config.window;
+        if self.ack_pending || admits {
+            return Some(now);
+        }
+        let head = self.unacked.front()?;
+        Some(
+            head.last_sent
+                .saturating_add(self.backoff(head.retries))
+                .max(now),
+        )
     }
 
     /// Processes a cumulative acknowledgement ("everything up to and
@@ -524,6 +548,52 @@ mod tests {
         assert_eq!(tx.on_ack(2), 1);
         assert!(!tx.is_degraded());
         assert!(tx.take_events().contains(&ArqEvent::Recovered));
+    }
+
+    /// Asserts that `poll_transmit` and `take_ack` are no-ops on `arq` at
+    /// every tick of `from..to`.
+    fn assert_idle(arq: &ArqEndpoint, from: u64, to: u64) {
+        for now in from..to {
+            let mut probe = arq.clone();
+            let batch = probe.poll_transmit(now);
+            assert!(
+                batch.frames.is_empty() && !batch.timeout_round,
+                "tick {now}"
+            );
+            assert!(probe.take_ack(Ticks(now)).is_none(), "tick {now}");
+            assert_eq!(format!("{probe:?}"), format!("{arq:?}"), "tick {now}");
+        }
+    }
+
+    #[test]
+    fn next_event_at_tracks_backlog_acks_and_backoff() {
+        let mut tx = ArqEndpoint::new(cfg()); // window 2, timeout 10, cap 2
+        assert_eq!(tx.next_event_at(0), None, "fresh endpoint sleeps");
+        for i in 0..3 {
+            tx.offer(data(i));
+        }
+        assert_eq!(tx.next_event_at(4), Some(4), "backlog can enter the window");
+        assert_eq!(tx.poll_transmit(4).frames.len(), 2);
+        // Window full, third frame backlogged: only the head timer wakes it.
+        let bound = tx.next_event_at(5).expect("head in flight");
+        assert_eq!(bound, 14);
+        assert_idle(&tx, 5, bound);
+        assert!(tx.poll_transmit(bound).timeout_round);
+        // Backoff doubles: the next round is due 20 ticks out.
+        assert_eq!(tx.next_event_at(bound + 1), Some(bound + 20));
+        assert_idle(&tx, bound + 1, bound + 20);
+        assert!(tx.poll_transmit(bound + 20).timeout_round);
+        // An ACK frees a slot: the backlog is admitted at once.
+        tx.on_ack(1);
+        assert_eq!(tx.next_event_at(40), Some(40));
+        assert_eq!(tx.poll_transmit(40).frames.len(), 1);
+
+        let mut rx = ArqEndpoint::new(cfg());
+        rx.on_data(&data(0).with_link_seq(1));
+        assert_eq!(rx.next_event_at(7), Some(7), "pending ACK acts now");
+        assert!(rx.take_ack(Ticks(7)).is_some());
+        assert_eq!(rx.next_event_at(8), None);
+        assert_idle(&rx, 8, 64);
     }
 
     #[test]

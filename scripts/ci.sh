@@ -21,6 +21,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== benchmark: perfbench's own tests (span trees, metric schema) =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== lint: clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 

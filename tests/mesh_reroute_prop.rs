@@ -26,42 +26,74 @@ use air_ports::routing::MeshTopology;
 const TOPOLOGIES: [MeshTopology; 3] =
     [MeshTopology::Line, MeshTopology::Star, MeshTopology::Ring];
 
+/// Runs one self-healing campaign and asserts every reroute invariant.
+fn assert_heals_and_redelivers(case: u64, plan: MeshPlan, scenario: PartitionScenario, seed: u64) {
+    let nodes = plan.nodes;
+    let outcome = RerouteCampaignRunner::new(plan).run();
+    let label = outcome.plan.topology.label();
+    let tag = scenario.label();
+    assert!(
+        outcome.is_ok(),
+        "case {case} ({label}[{nodes}]/{tag}, seed {seed}): {}",
+        outcome.report
+    );
+    assert!(
+        outcome.deterministic,
+        "case {case} ({label}[{nodes}]/{tag}, seed {seed}): rerun diverged"
+    );
+    // Every generated scenario heals, so eventual redelivery means
+    // full delivery — nothing may stay parked or go to a spare
+    // (reroute plans declare no fallback pair).
+    assert_eq!(
+        outcome.delivered, outcome.expected,
+        "case {case} ({label}[{nodes}]/{tag}, seed {seed}): {}/{} commands delivered",
+        outcome.delivered, outcome.expected
+    );
+    assert_eq!(
+        outcome.delivered_spare, 0,
+        "case {case} ({label}[{nodes}]/{tag}, seed {seed})"
+    );
+    assert_eq!(
+        outcome.acks, [outcome.expected; 3],
+        "case {case} ({label}[{nodes}]/{tag}, seed {seed}): incomplete verification \
+         round trips (accept/start/complete = {:?})",
+        outcome.acks
+    );
+}
+
+/// The 50 cases of the suite's seed set: `(topology, scenario, seed)`.
+fn seed_set() -> Vec<(MeshTopology, PartitionScenario, u64)> {
+    let mut rng = TestRng::new(0x5EA1);
+    (0..50)
+        .map(|_| {
+            let topology = TOPOLOGIES[rng.below_usize(TOPOLOGIES.len())];
+            let scenario = PartitionScenario::ALL[rng.below_usize(PartitionScenario::ALL.len())];
+            (topology, scenario, rng.range(1, 1 << 20))
+        })
+        .collect()
+}
+
 #[test]
 fn any_partition_scenario_heals_and_redelivers_over_50_seeds() {
-    let mut rng = TestRng::new(0x5EA1);
-    for case in 0..50u64 {
-        let topology = TOPOLOGIES[rng.below_usize(TOPOLOGIES.len())];
-        let scenario = PartitionScenario::ALL[rng.below_usize(PartitionScenario::ALL.len())];
-        let seed = rng.range(1, 1 << 20);
+    for (case, (topology, scenario, seed)) in seed_set().into_iter().enumerate() {
         let plan = reroute_plan(topology, 6, seed, scenario);
-        let outcome = RerouteCampaignRunner::new(plan).run();
-        let label = outcome.plan.topology.label();
-        let tag = scenario.label();
-        assert!(
-            outcome.is_ok(),
-            "case {case} ({label}/{tag}, seed {seed}): {}",
-            outcome.report
-        );
-        assert!(
-            outcome.deterministic,
-            "case {case} ({label}/{tag}, seed {seed}): rerun diverged"
-        );
-        // Every generated scenario heals, so eventual redelivery means
-        // full delivery — nothing may stay parked or go to a spare
-        // (reroute plans declare no fallback pair).
-        assert_eq!(
-            outcome.delivered, outcome.expected,
-            "case {case} ({label}/{tag}, seed {seed}): {}/{} commands delivered",
-            outcome.delivered, outcome.expected
-        );
-        assert_eq!(outcome.delivered_spare, 0, "case {case} ({label}/{tag}, seed {seed})");
-        assert_eq!(
-            outcome.acks,
-            [outcome.expected; 3],
-            "case {case} ({label}/{tag}, seed {seed}): incomplete verification \
-             round trips (accept/start/complete = {:?})",
-            outcome.acks
-        );
+        assert_heals_and_redelivers(case as u64, plan, scenario, seed);
+    }
+}
+
+/// The same seed set on 9-node line and star meshes, every seed under
+/// every scenario. The 9-node ring stays out: isolating its executor
+/// (and, more rarely, two healed edge losses) exhausts the reroute hop
+/// budget — a known defect, tracked in ROADMAP.md.
+#[test]
+fn nine_node_line_and_star_heal_under_every_scenario_over_50_seeds() {
+    for (case, (_, _, seed)) in seed_set().into_iter().enumerate() {
+        for topology in [MeshTopology::Line, MeshTopology::Star] {
+            for scenario in PartitionScenario::ALL {
+                let plan = reroute_plan(topology, 9, seed, scenario);
+                assert_heals_and_redelivers(case as u64, plan, scenario, seed);
+            }
+        }
     }
 }
 
