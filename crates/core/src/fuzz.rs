@@ -22,7 +22,9 @@ use air_lint::{
     explore_with, minimize_witness_with, transition_system_for, ExploreConfig,
     SystemModel,
 };
-use air_model::explore::{AbstractState, ArqHealth, LinkState, Witness};
+use air_model::explore::{
+    AbstractState, ArqHealth, LinkState, TransitionSystem, Witness,
+};
 use air_model::schedule::ScheduleSet;
 use air_model::testkit::TestRng;
 
@@ -171,9 +173,12 @@ pub fn generate_config_text(seed: u64) -> String {
 
 /// Builds the concrete twin of `model`: same schedules and partitions,
 /// no processes, with the degraded-schedule binding, ARQ tracking and
-/// mesh edge count mirrored from the exploration options.
-fn build_twin(model: &SystemModel) -> Option<crate::system::AirSystem> {
-    let ts = transition_system_for(model)?;
+/// mesh edge count mirrored from the exploration options of `ts`, the
+/// model's transition system.
+fn build_twin(
+    model: &SystemModel,
+    ts: &TransitionSystem,
+) -> Option<crate::system::AirSystem> {
     let schedules = ScheduleSet::try_new(model.schedules.clone()).ok()?;
     let mut builder = SystemBuilder::new(schedules).with_exploration_depth(0);
     for partition in &model.partitions {
@@ -191,10 +196,9 @@ fn build_twin(model: &SystemModel) -> Option<crate::system::AirSystem> {
     Some(system)
 }
 
-/// The abstract state `events` leads to from the initial state, or `None`
-/// if any event is disabled along the way.
-fn predict(model: &SystemModel, witness: &Witness) -> Option<AbstractState> {
-    let ts = transition_system_for(model)?;
+/// The abstract state `witness` leads `ts` to from its initial state, or
+/// `None` if any event is disabled along the way.
+fn predict(ts: &TransitionSystem, witness: &Witness) -> Option<AbstractState> {
     let mut state = ts.initial_state();
     for &event in &witness.events {
         state = ts.step(&state, event)?.state;
@@ -242,15 +246,23 @@ pub fn run_fuzz(first_seed: u64, count: usize, depth: usize) -> FuzzReport {
         report.cases += 1;
         let exploration = explore_with(&model, &config);
         report.findings += exploration.counterexamples.len();
+        if exploration.counterexamples.is_empty() {
+            continue;
+        }
+        // One transition system per case, shared by every witness's
+        // prediction and twin.
+        let Some(ts) = transition_system_for(&model) else {
+            continue;
+        };
         for cx in &exploration.counterexamples {
             let minimized = minimize_witness_with(&model, cx, &config);
             if minimized.events.len() < cx.witness.events.len() {
                 report.minimized += 1;
             }
-            let Some(predicted) = predict(&model, &minimized) else {
+            let Some(predicted) = predict(&ts, &minimized) else {
                 continue;
             };
-            let Some(mut twin) = build_twin(&model) else {
+            let Some(mut twin) = build_twin(&model, &ts) else {
                 continue;
             };
             replay_witness(&mut twin, &minimized, 2);

@@ -53,7 +53,12 @@ impl MachineConfig {
     /// A compact profile for fleet-scale emulation: enough installed
     /// memory for a handful of partitions under the standard application
     /// layout (each partition takes ~144 KiB of frames), and a narrow
-    /// console fan-out. Thousands of compact machines fit in one process.
+    /// console fan-out.
+    ///
+    /// Physical memory is demand-paged, so the installed size is not what
+    /// makes a machine cheap to build (any profile builds in O(1) and
+    /// keeps only the frames it writes); it sets the frame budget the
+    /// `air-pmk` spatial layer allocates partition memory from.
     ///
     /// Every field of a [`Machine`] is owned per instance — there is no
     /// shared or global state anywhere in `air-hw` — so compact machines

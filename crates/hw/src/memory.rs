@@ -1,6 +1,17 @@
-//! Physical memory of the emulated machine.
+//! Physical memory of the emulated machine, demand-paged.
+//!
+//! Installed memory is a size, not an allocation: the frame table starts
+//! empty and a frame (one MMU page, [`PAGE_SIZE`] bytes) is allocated on
+//! the first write that touches it. Untouched bytes read as zero, exactly
+//! as freshly installed zeroed memory would, so building a machine costs
+//! the same whatever its `memory_size`.
 
 use std::fmt;
+
+use crate::mmu::PAGE_SIZE;
+
+/// Bytes per frame: one MMU page.
+const FRAME: usize = PAGE_SIZE as usize;
 
 /// Byte-addressable physical memory with bounds-checked access.
 ///
@@ -9,6 +20,12 @@ use std::fmt;
 /// interpartition communication performs the "memory-to-memory copies not
 /// violating spatial separation requirements" (Sect. 2.1) between regions
 /// owned by different partitions.
+///
+/// Frames are allocated on first write; a byte no write has touched reads
+/// as zero. [`size`](Self::size) is the installed memory every access is
+/// checked against, not the resident memory behind it. Accesses that
+/// straddle frames are split at frame boundaries and behave exactly like
+/// accesses to one flat byte array.
 ///
 /// # Examples
 ///
@@ -20,11 +37,15 @@ use std::fmt;
 /// let mut buf = [0u8; 5];
 /// mem.read(0x100, &mut buf)?;
 /// assert_eq!(&buf, b"hello");
+/// assert_eq!(mem.read_u8(0x8000)?, 0); // never written: reads as zero
 /// # Ok::<(), air_hw::memory::OutOfRange>(())
 /// ```
 #[derive(Clone)]
 pub struct PhysicalMemory {
-    bytes: Vec<u8>,
+    size: usize,
+    /// Frame `i` backs bytes `[i * FRAME, (i + 1) * FRAME)`; `None`, or an
+    /// index past the end, is a frame no write has touched yet.
+    frames: Vec<Option<Box<[u8; FRAME]>>>,
 }
 
 /// Error returned when a physical access falls outside installed memory.
@@ -44,7 +65,7 @@ impl fmt::Display for OutOfRange {
             f,
             "physical access [{:#x}, {:#x}) outside installed memory of {} bytes",
             self.addr,
-            self.addr + self.len as u64,
+            self.addr.saturating_add(self.len as u64),
             self.size
         )
     }
@@ -52,38 +73,77 @@ impl fmt::Display for OutOfRange {
 
 impl std::error::Error for OutOfRange {}
 
+/// Splits the access `[start, start + len)` at frame boundaries, yielding
+/// `(frame, offset in frame, offset in access, length)` per piece.
+fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let addr = start + done;
+            let offset = addr % FRAME;
+            let n = (FRAME - offset).min(len - done);
+            let piece = (addr / FRAME, offset, done, n);
+            done += n;
+            piece
+        })
+    })
+}
+
 impl PhysicalMemory {
-    /// Installs `size` bytes of zeroed memory.
+    /// Installs `size` bytes of zeroed memory. No frame is allocated
+    /// until it is first written.
     pub fn new(size: usize) -> Self {
         Self {
-            bytes: vec![0; size],
+            size,
+            frames: Vec::new(),
         }
     }
 
-    /// Installed memory size in bytes.
+    /// Installed memory size in bytes (not the resident frames behind it).
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
     fn check(&self, addr: u64, len: usize) -> Result<usize, OutOfRange> {
-        let start = usize::try_from(addr).map_err(|_| OutOfRange {
+        let err = OutOfRange {
             addr,
             len,
-            size: self.bytes.len(),
-        })?;
-        let end = start.checked_add(len).ok_or(OutOfRange {
-            addr,
-            len,
-            size: self.bytes.len(),
-        })?;
-        if end > self.bytes.len() {
-            return Err(OutOfRange {
-                addr,
-                len,
-                size: self.bytes.len(),
-            });
+            size: self.size,
+        };
+        let start = usize::try_from(addr).map_err(|_| err)?;
+        match start.checked_add(len) {
+            Some(end) if end <= self.size => Ok(start),
+            _ => Err(err),
         }
-        Ok(start)
+    }
+
+    /// Copies `[start, start + buf.len())` into `buf`; the range is
+    /// already checked.
+    fn read_checked(&self, start: usize, buf: &mut [u8]) {
+        for (frame, offset, at, n) in pieces(start, buf.len()) {
+            let out = &mut buf[at..at + n];
+            match self.frames.get(frame).and_then(Option::as_deref) {
+                Some(bytes) => out.copy_from_slice(&bytes[offset..offset + n]),
+                None => out.fill(0),
+            }
+        }
+    }
+
+    /// Copies `data` to `[start, start + data.len())`; the range is
+    /// already checked.
+    fn write_checked(&mut self, start: usize, data: &[u8]) {
+        if data.is_empty() {
+            return;
+        }
+        // Grow the table once, to the last frame this write touches.
+        let end_frame = (start + data.len()).div_ceil(FRAME);
+        if end_frame > self.frames.len() {
+            self.frames.resize_with(end_frame, || None);
+        }
+        for (frame, offset, at, n) in pieces(start, data.len()) {
+            let bytes = self.frames[frame].get_or_insert_with(|| Box::new([0; FRAME]));
+            bytes[offset..offset + n].copy_from_slice(&data[at..at + n]);
+        }
     }
 
     /// Reads `buf.len()` bytes starting at physical `addr`.
@@ -94,7 +154,7 @@ impl PhysicalMemory {
     /// no partial reads occur.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), OutOfRange> {
         let start = self.check(addr, buf.len())?;
-        buf.copy_from_slice(&self.bytes[start..start + buf.len()]);
+        self.read_checked(start, buf);
         Ok(())
     }
 
@@ -106,20 +166,32 @@ impl PhysicalMemory {
     /// no partial writes occur.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), OutOfRange> {
         let start = self.check(addr, data.len())?;
-        self.bytes[start..start + data.len()].copy_from_slice(data);
+        self.write_checked(start, data);
         Ok(())
     }
 
     /// Copies `len` bytes from `src` to `dst` within physical memory — the
-    /// primitive behind local interpartition message transfer.
+    /// primitive behind local interpartition message transfer. Overlapping
+    /// ranges behave like `memmove`.
     ///
     /// # Errors
     ///
-    /// [`OutOfRange`] if either range is beyond installed memory.
+    /// [`OutOfRange`] if either range is beyond installed memory (the
+    /// source range is checked first).
     pub fn copy_within(&mut self, src: u64, dst: u64, len: usize) -> Result<(), OutOfRange> {
         let s = self.check(src, len)?;
         let d = self.check(dst, len)?;
-        self.bytes.copy_within(s..s + len, d);
+        // Move one frame-sized chunk at a time through a stack buffer, in
+        // the direction that never overwrites source bytes not yet read.
+        let mut buf = [0u8; FRAME];
+        let chunks = len.div_ceil(FRAME);
+        for k in 0..chunks {
+            let k = if d > s { chunks - 1 - k } else { k };
+            let at = k * FRAME;
+            let chunk = &mut buf[..FRAME.min(len - at)];
+            self.read_checked(s + at, chunk);
+            self.write_checked(d + at, chunk);
+        }
         Ok(())
     }
 
@@ -147,7 +219,7 @@ impl PhysicalMemory {
 impl fmt::Debug for PhysicalMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PhysicalMemory")
-            .field("size", &self.bytes.len())
+            .field("size", &self.size)
             .finish()
     }
 }
@@ -192,6 +264,10 @@ mod tests {
     fn huge_address_is_rejected_not_panicking() {
         let m = PhysicalMemory::new(16);
         let mut buf = [0u8; 1];
-        assert!(m.read(u64::MAX, &mut buf).is_err());
+        let err = m.read(u64::MAX, &mut buf).unwrap_err();
+        // The end of the reported range saturates instead of overflowing.
+        assert!(err
+            .to_string()
+            .contains("0xffffffffffffffff, 0xffffffffffffffff"));
     }
 }

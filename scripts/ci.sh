@@ -24,6 +24,9 @@ cargo test -q
 echo "== benchmark: perfbench's own tests (span trees, metric schema) =="
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark: clippy over perfbench (all targets, warnings are errors) =="
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
 echo "== lint: clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
